@@ -29,10 +29,11 @@ Three pieces:
   consumer genuinely iterates message objects (JSONL sinks, recorders,
   per-kind bucket filters).
 
-Equivalence contract: every query answers exactly what the legacy
-object path answers, including the historical (count, repr,
-first-occurrence-order) tie-break — pinned by the columnar-vs-object
-suites in ``tests/properties/``.
+Equivalence contract: every query answers exactly what an object
+:class:`~repro.sim.inbox.InboxIndex` over the same messages answers,
+including the historical (count, repr, first-occurrence-order)
+tie-break — pinned by the ``stage_stream`` reference and the
+keep-everything delivery-filter reference in ``tests/properties/``.
 """
 
 from __future__ import annotations
@@ -150,10 +151,11 @@ class ColumnarPlane:
         #: Lookups that found an existing entry (the interning win the
         #: benchmarks otherwise only show as timing).
         self.payload_intern_hits: int = 0
-        #: Message objects actually built across the run (each round's
+        #: Message objects actually built across the run — each round's
         #: columns materialize at most once, and only when somebody
-        #: iterates messages) — the honest "work done" counter next to
-        #: the logical staged×recipients delivery figure.
+        #: iterates messages; the per-sender / per-instance row builders
+        #: count what they build too — the honest "work done" counter
+        #: next to the logical staged×recipients delivery figure.
         self.messages_materialized: int = 0
         self._payload_ids: dict[Hashable, int] = {}
         self._kind_ids: dict[str, int] = {}
@@ -640,6 +642,7 @@ class RoundColumns:
                     Message(sender, batch.kind, payload, batch.instance)
                     for payload in batch.staged_payloads
                 )
+        plane.messages_materialized += len(out)
         return tuple(out)
 
     def instance_rows(self, instance: Hashable) -> tuple[Message, ...]:
@@ -674,6 +677,7 @@ class RoundColumns:
                     Message(sender, batch.kind, payload, instance)
                     for payload in batch.staged_payloads
                 )
+        plane.messages_materialized += len(out)
         return tuple(out)
 
 

@@ -3,8 +3,11 @@
 The synchronous model's delivery guarantee is load-bearing — §9 proves
 agreement is *impossible* without it when ``n`` and ``f`` are unknown.
 :class:`LossyNetwork` makes that executable: it behaves like
-:class:`~repro.sim.network.SyncNetwork` but drops each staged delivery
+:class:`~repro.sim.network.SyncNetwork` but drops each delivery
 independently with probability ``drop_rate`` (seeded, reproducible).
+It is the engine's one delivery path with a per-recipient delivery
+filter installed: each recipient is handed the round's broadcasts plus
+its direct messages, and keeps what survives the loss lottery.
 
 This is an *ablation instrument*, not a feature: protocols run on it to
 demonstrate how their guarantees erode as the synchrony assumption
@@ -38,8 +41,9 @@ class LossyNetwork(SyncNetwork):
         self.drop_rate = drop_rate
         self._loss_rng = make_rng(seed, salt=0x10552E55)
         self.dropped = 0
+        self._delivery_filter = self._lose
 
-    def _filter_deliveries(
+    def _lose(
         self, state: _NodeState, messages: Sequence[Message]
     ) -> Sequence[Message]:
         # Each (recipient, message) delivery faces the loss lottery

@@ -24,23 +24,28 @@ JSONL sinks (see docs/observability.md).  Per-topic sinks are cached
 against the bus version, so a topic nobody subscribed to costs the hot
 path one ``None`` check per emission site.
 
-Staging is O(logical sends), not O(sends x recipients): each ``Send`` is
-stamped into its immutable :class:`~repro.sim.message.Message` exactly once,
-broadcasts go into one per-round shared queue (every recipient's inbox
-aliases the same tuple of message objects), and only direct sends occupy
-per-node queues.  Duplicate suppression happens against the precomputed
-broadcast key set plus a small per-recipient set over the direct queue, so
-the all-broadcast hot path performs no per-recipient hashing at all.
+There is one delivery path, the columnar plane (docs/model.md "Columnar
+delivery").  Staging is O(logical sends), not O(sends x recipients): each
+round's broadcasts go into one set of struct-of-arrays columns
+(:class:`~repro.sim.columnar.RoundColumns`, deduplicated as they are
+staged), and only direct sends occupy per-node queues of stamped
+:class:`~repro.sim.message.Message` objects.  A direct message repeating
+one of the round's broadcasts is dropped at delivery against the columns,
+so the all-broadcast hot path performs no per-recipient hashing at all.
 
 Delivery is O(quorum work), not O(nodes x quorum work): recipients of the
-shared broadcast tuple also alias one shared
-:class:`~repro.sim.inbox.InboxIndex`, so each per-kind distinct-sender
-count the protocols ask for is computed once per round, not once per node;
-recipients with surviving direct messages get a private overlay index
-layered on the shared one.  The protocols' *quorum-tally plane* rides the
-same sharing one layer up: per-instance decoded vote bases, membership
-back-fill sets and membership restrictions are memoized on the round's
-shared index (:meth:`~repro.sim.inbox.InboxIndex.derive` /
+round's broadcasts alias one shared
+:class:`~repro.sim.columnar.ColumnarIndex`, so each per-kind
+distinct-sender count the protocols ask for is a counting pass over the
+columns, run once per round, not once per node; recipients with surviving
+direct messages get a private overlay index layered on the shared one.  An
+optional per-recipient delivery filter (``_delivery_filter``, set by
+:class:`~repro.sim.lossy.LossyNetwork`) replaces that sharing with one
+object inbox per recipient, holding only what the filter keeps.  The
+protocols' *quorum-tally plane* rides the same sharing one layer up:
+per-instance decoded vote bases, membership back-fill sets and membership
+restrictions are memoized on the round's shared index
+(:meth:`~repro.sim.inbox.InboxIndex.derive` /
 :meth:`~repro.sim.inbox.InboxIndex.restricted`), so even full
 parallel-consensus tallies are built once per round and only per-node
 substitution deltas remain per recipient.  Per-node engine state that is
@@ -55,7 +60,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 from typing import Protocol as TypingProtocol
 
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import (
+    ConfigurationError,
+    ProtocolViolation,
+    RoundLimitExceeded,
+)
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     DecisionEconomy,
@@ -69,7 +78,12 @@ from repro.obs.events import (
     RoundStarted,
     RunStarted,
 )
-from repro.sim.columnar import ColumnarIndex, ColumnarMessages, ColumnarPlane
+from repro.sim.columnar import (
+    ColumnarIndex,
+    ColumnarMessages,
+    ColumnarPlane,
+    RoundColumns,
+)
 from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.membership import MembershipSchedule
 from repro.sim.message import (
@@ -132,19 +146,20 @@ class _NodeState:
     left_round: Round | None = None
     contacts: set[NodeId] = field(default_factory=set)
     #: Stamped direct messages queued for delivery at the next round.
-    #: Broadcasts never appear here — they live in the network's shared
-    #: per-round broadcast queue and are resolved at delivery time.
+    #: Broadcasts never appear here — they live in the round's shared
+    #: columns and are resolved at delivery time.
     direct: list[Message] = field(default_factory=list)
     #: Cached frozenset view of ``contacts`` for NodeApi construction.
     #: Contacts only ever grow (delivery-time ``update`` calls), so a
     #: length match proves the cache is current — the steady-state round
     #: rebuilds nothing.
     contacts_frozen: frozenset[NodeId] = frozenset()
-    #: On the columnar path, a founding node's contacts are exactly the
-    #: engine's cumulative broadcast-sender pool — shared as one
-    #: frozenset across all such nodes, no per-node set at all.  The
-    #: flag drops (and ``contacts`` takes over, seeded from the pool)
-    #: the first time the node receives a direct message.
+    #: A founding node's contacts are exactly the engine's cumulative
+    #: broadcast-sender pool — shared as one frozenset across all such
+    #: nodes, no per-node set at all.  The flag drops (and ``contacts``
+    #: takes over, seeded from the pool) the first time the node
+    #: receives a direct message.  Never set under a delivery filter:
+    #: a filtered recipient only contacts the senders it was handed.
     contacts_shared: bool = False
     #: Recycled per-node NodeApi (round / contacts / outbox fields are
     #: refreshed each round before ``on_round`` runs).  The engine drains
@@ -174,7 +189,6 @@ class SyncNetwork:
         measure_bytes: bool = False,
         clock: Callable[[], float] | None = None,
         bus: EventBus | None = None,
-        columnar: bool = True,
     ):
         self.seed = seed
         self._rng = make_rng(seed)
@@ -200,39 +214,24 @@ class SyncNetwork:
         #: The columnar round plane (docs/model.md "Columnar delivery"):
         #: broadcasts stage into per-round struct-of-arrays columns, and
         #: recipients get counting views instead of message objects.
-        #: Disabled when a subclass overrides ``_filter_deliveries`` —
-        #: per-recipient delivery filtering needs real per-message
-        #: objects, so e.g. LossyNetwork rides the object path.
-        self._columnar = (
-            columnar
-            and type(self)._filter_deliveries
-            is SyncNetwork._filter_deliveries
-        )
-        self._plane = ColumnarPlane() if self._columnar else None
-        #: Why the plane is off ("disabled" / "filter-override"), None
-        #: when it is on.  Reported once via a downgraded PlaneStats
-        #: event at the first round end, so observers can tell the
-        #: object path from "no stats yet".
-        self._plane_fallback = (
-            None
-            if self._columnar
-            else ("disabled" if not columnar else "filter-override")
-        )
-        self._fallback_reported = False
-        #: The columns this round's broadcasts stage into (columnar
-        #: mode), swapped for a fresh instance at each delivery.
-        self._staging_cols = (
-            self._plane.new_round() if self._plane is not None else None
-        )
+        self._plane = ColumnarPlane()
+        #: The columns this round's broadcasts stage into, swapped for a
+        #: fresh instance at each delivery.
+        self._staging_cols = self._plane.new_round()
         #: Cumulative broadcast-sender pool: the shared contacts
-        #: frozenset for founding nodes on the columnar path.
+        #: frozenset for founding nodes.
         self._contact_pool: frozenset[NodeId] = frozenset()
-        #: Round-r broadcast queue (object path): one shared Message per
-        #: logical broadcast, delivered to every node alive at r + 1.
-        self._broadcasts: list[Message] = []
-        #: Value-equality keys of the queued broadcasts, for O(1)
-        #: duplicate suppression at stage and delivery time.
-        self._broadcast_keys: set[Message] = set()
+        #: Optional per-recipient delivery filter, ``(state, messages) ->
+        #: kept``.  ``messages`` is the round's materialized broadcast
+        #: tuple followed by the recipient's deduplicated direct
+        #: messages; it must not be mutated.  None (the model's
+        #: synchrony guarantee) delivers everything through the shared
+        #: index.  A subclass sets it in its constructor, before any
+        #: node registers (see LossyNetwork).
+        self._delivery_filter: (
+            Callable[[_NodeState, Sequence[Message]], Sequence[Message]]
+            | None
+        ) = None
         #: Sorted alive-node lists keyed by byzantine flag, rebuilt only
         #: when the population changes (join / leave / removal).
         self._alive_cache: dict[bool, list[_NodeState]] = {}
@@ -278,7 +277,8 @@ class SyncNetwork:
             # Founding nodes see every broadcast round, so their
             # contacts are exactly the engine's cumulative sender pool;
             # joiners miss earlier rounds and track contacts privately.
-            contacts_shared=self._columnar and self.round == 0,
+            contacts_shared=self.round == 0
+            and self._delivery_filter is None,
         )
         self._alive_cache.clear()
 
@@ -434,10 +434,7 @@ class SyncNetwork:
         t0 = clock() if clock else 0.0
         self._apply_membership()
 
-        if self._columnar:
-            inboxes = self._collect_columnar()
-        else:
-            inboxes = self._collect_inboxes()
+        inboxes = self._collect_columnar()
         t1 = clock() if clock else 0.0
 
         correct_sends: list[tuple[NodeId, Send]] = []
@@ -487,12 +484,8 @@ class SyncNetwork:
                     byz_sends.append((state.node_id, send))
         t3 = clock() if clock else 0.0
 
-        if self._columnar:
-            self._stage_columnar(correct_sends)
-            self._stage_columnar(byz_sends)
-        else:
-            self._stage(correct_sends)
-            self._stage(byz_sends)
+        self._stage_columnar(correct_sends)
+        self._stage_columnar(byz_sends)
         emit_phase = self._emit_phase
         if clock and emit_phase is not None:
             t4 = clock()
@@ -504,25 +497,14 @@ class SyncNetwork:
         emit_plane = self._emit_plane
         if emit_plane is not None:
             plane = self._plane
-            if plane is not None:
-                emit_plane(
-                    PlaneStats(
-                        self.round,
-                        plane.payload_intern_hits,
-                        plane.unique_payloads,
-                        True,
-                        None,
-                        plane.messages_materialized,
-                    )
+            emit_plane(
+                PlaneStats(
+                    self.round,
+                    plane.payload_intern_hits,
+                    plane.unique_payloads,
+                    plane.messages_materialized,
                 )
-            elif not self._fallback_reported:
-                # Object path: say so once, with the downgrade reason.
-                self._fallback_reported = True
-                emit_plane(
-                    PlaneStats(
-                        self.round, 0, 0, False, self._plane_fallback, 0
-                    )
-                )
+            )
         if self._emit_round_end is not None:
             self._emit_round_end(RoundEnded(self.round))
 
@@ -555,105 +537,20 @@ class SyncNetwork:
         for spec in self.membership.leaves_at(self.round):
             self.remove(spec.node_id)
 
-    def _collect_inboxes(self) -> dict[NodeId, Inbox]:
-        """Deliver the previous round's traffic.
+    def _collect_columnar(self) -> dict[NodeId, Inbox]:
+        """Deliver the previous round's traffic: views over columns.
 
         The broadcast recipient set is resolved *here* — after this
         round's membership changes — so a node joining at round ``r + 1``
         receives the round-``r`` broadcasts (the model's "reaches every
-        node, including ones it has never heard of").  Every recipient's
-        inbox shares one tuple of broadcast message objects *and one
-        query index over it*: per-kind buckets and distinct-sender
-        tallies are built once per round, by whichever recipient asks
-        first, instead of once per node.  Recipients whose delivery adds
-        direct messages get a private overlay index layered on the
-        shared one; only those direct extras need per-recipient work.
-        """
-        broadcasts = tuple(self._broadcasts)
-        broadcast_keys = self._broadcast_keys
-        self._broadcasts = []
-        self._broadcast_keys = set()
-        broadcast_senders = {m.sender for m in broadcasts}
-        shared_index: InboxIndex | None = None
-
-        inboxes: dict[NodeId, Inbox] = {}
-        round_no = self.round
-        emit_deliver = self._emit_deliver
-        for state in self._nodes.values():
-            direct = state.direct
-            if direct:
-                state.direct = []
-            if not state.alive:
-                continue
-            extras: tuple[Message, ...] = ()
-            if direct:
-                seen: set[Message] = set()
-                fresh: list[Message] = []
-                for message in direct:
-                    # Per-round duplicate suppression, keyed on the
-                    # stamped message: identical directs, and a direct
-                    # repeating one of this round's broadcasts, collapse.
-                    if message in broadcast_keys or message in seen:
-                        continue
-                    seen.add(message)
-                    fresh.append(message)
-                extras = tuple(fresh)
-            # When every direct deduplicated against this round's
-            # broadcasts, the recipient rides the shared tuple/index and
-            # the cheap broadcast-contacts path like everyone else.
-            raw: Sequence[Message] = (
-                broadcasts + extras if extras else broadcasts
-            )
-            delivered = self._filter_deliveries(state, raw)
-            if not delivered:
-                continue
-            if delivered is raw:
-                if extras and broadcasts:
-                    if shared_index is None:
-                        shared_index = InboxIndex(broadcasts)
-                    inbox = Inbox(
-                        index=InboxIndex.layered(shared_index, extras)
-                    )
-                    state.contacts.update(broadcast_senders)
-                    state.contacts.update(m.sender for m in extras)
-                elif extras:
-                    inbox = Inbox(extras)
-                    state.contacts.update(m.sender for m in extras)
-                else:
-                    if shared_index is None:
-                        shared_index = InboxIndex(broadcasts)
-                    inbox = Inbox(index=shared_index)
-                    state.contacts.update(broadcast_senders)
-            else:
-                inbox = Inbox(delivered)
-                state.contacts.update(m.sender for m in delivered)
-            if emit_deliver is not None:
-                # ``delivered`` equals the inbox's message sequence in
-                # every branch above; the shared-broadcast path emits
-                # the round's shared tuple itself, so the event costs
-                # no copies.
-                emit_deliver(
-                    InboxDelivered(
-                        round_no,
-                        state.node_id,
-                        delivered
-                        if type(delivered) is tuple
-                        else tuple(delivered),
-                    )
-                )
-            inboxes[state.node_id] = inbox
-        return inboxes
-
-    def _collect_columnar(self) -> dict[NodeId, Inbox]:
-        """Columnar-plane delivery: views over columns, no message objects.
-
-        Same delivery semantics as :meth:`_collect_inboxes` (resolved
-        recipient set, direct-vs-broadcast dedup, contact tracking), but
-        the round's broadcasts live in frozen struct-of-arrays columns:
-        every recipient shares one :class:`ColumnarIndex` view, contact
+        node, including ones it has never heard of").  The round's
+        broadcasts live in frozen struct-of-arrays columns: every
+        recipient shares one :class:`ColumnarIndex` view, contact
         tracking is one cumulative pool update per round instead of a
         per-node set union, and ``deliver`` events carry a lazy message
         sequence that only materializes if somebody iterates it.
+        Recipients with surviving direct messages get a private overlay
+        index layered on the shared one.
         """
         cols = self._staging_cols
         self._staging_cols = self._plane.new_round()
@@ -664,33 +561,45 @@ class SyncNetwork:
             if not broadcast_senders <= self._contact_pool:
                 self._contact_pool = self._contact_pool | broadcast_senders
 
-        shared_index: ColumnarIndex | None = None
-        shared_inbox: Inbox | None = None
-        shared_view: ColumnarMessages | None = None
         inboxes: dict[NodeId, Inbox] = {}
         round_no = self.round
         emit_deliver = self._emit_deliver
+        take_direct = self._take_direct
+        keep = self._delivery_filter
+        if keep is not None:
+            # Filtered delivery, chosen once per round so unfiltered runs
+            # pay nothing: each recipient's raw delivery is the shared
+            # tuple plus its direct extras, and it gets a private object
+            # inbox of what the filter kept — contacts included.
+            shared = cols.materialize()
+            for state in self._nodes.values():
+                extras = take_direct(state, cols) if state.direct else ()
+                if not state.alive:
+                    continue
+                kept = tuple(
+                    keep(state, shared + extras if extras else shared)
+                )
+                if not kept:
+                    continue
+                state.contacts.update(m.sender for m in kept)
+                if emit_deliver is not None:
+                    emit_deliver(InboxDelivered(round_no, state.node_id, kept))
+                inboxes[state.node_id] = Inbox(kept)
+            return inboxes
+
+        shared_index: ColumnarIndex | None = None
+        shared_inbox: Inbox | None = None
+        shared_view: ColumnarMessages | None = None
         pool = self._contact_pool
         for state in self._nodes.values():
-            direct = state.direct
-            if direct:
-                state.direct = []
+            extras = take_direct(state, cols) if state.direct else ()
             if not state.alive:
                 continue
-            extras: tuple[Message, ...] = ()
-            if direct:
-                seen: set[Message] = set()
-                fresh: list[Message] = []
-                for message in direct:
-                    if cols.contains_message(message) or message in seen:
-                        continue
-                    seen.add(message)
-                    fresh.append(message)
-                extras = tuple(fresh)
             if extras:
                 # Direct deliveries are the rare, genuinely per-node
-                # case: take the object path (materializing the shared
-                # columns once if broadcasts ride along).
+                # case: a private overlay index over the shared one
+                # (materializing the columns once if broadcasts ride
+                # along).
                 if state.contacts_shared:
                     state.contacts_shared = False
                     state.contacts = set(pool)
@@ -728,17 +637,23 @@ class SyncNetwork:
             inboxes[state.node_id] = inbox
         return inboxes
 
-    def _filter_deliveries(
-        self, state: _NodeState, messages: Sequence[Message]
-    ) -> Sequence[Message]:
-        """Hook: the messages actually handed to *state* this round.
-
-        The base engine delivers everything (the model's synchrony
-        guarantee); :class:`~repro.sim.lossy.LossyNetwork` overrides this
-        to drop deliveries.  ``messages`` may be the shared broadcast
-        tuple — implementations must not mutate it.
-        """
-        return messages
+    @staticmethod
+    def _take_direct(
+        state: _NodeState, cols: RoundColumns
+    ) -> tuple[Message, ...]:
+        """Drain *state*'s direct queue with per-round duplicate
+        suppression: identical directs, and a direct repeating one of
+        the round's broadcasts, collapse."""
+        direct = state.direct
+        state.direct = []
+        seen: set[Message] = set()
+        fresh: list[Message] = []
+        for message in direct:
+            if cols.contains_message(message) or message in seen:
+                continue
+            seen.add(message)
+            fresh.append(message)
+        return tuple(fresh)
 
     def _run_correct(
         self, state: _NodeState, inbox: Inbox
@@ -777,7 +692,7 @@ class SyncNetwork:
         outbox = api._outbox
         if outbox.sends:
             # A fresh list, not clear(): last round's sends were already
-            # consumed by _stage, but anything still holding that list
+            # consumed by _stage_columnar, but anything still holding that list
             # must not see it emptied under its feet.
             outbox.sends = []
         protocol.on_round(api, inbox)
@@ -795,61 +710,15 @@ class SyncNetwork:
                     self.round, sender, send.kind, send.payload, send.instance
                 )
             )
-        except Exception:
-            # Non-wire-representable payloads (test doubles etc.): fall
-            # back to a repr-based estimate rather than failing the run.
+        except (TypeError, ProtocolViolation):
+            # The codec's declared refusals (json.dumps on a foreign
+            # type, encode_value on an unhashable payload, the frame
+            # size limit): estimate from the repr rather than failing
+            # the run.  Anything else is a bug and propagates.
             return len(repr((send.kind, send.payload, send.instance)))
 
-    def _stage(self, sends: list[tuple[NodeId, Send]]) -> None:
-        """Queue sends for delivery at the next round.
-
-        O(len(sends)): each send is stamped into its Message exactly
-        once.  Broadcasts join the shared per-round queue (recipients are
-        resolved at delivery time); direct sends join the destination's
-        queue if the destination currently exists and is alive.
-        """
-        round_no = self.round
-        emit_send = self._emit_send
-        for sender, send in sends:
-            if type(send) is BatchSend:
-                # Object path: a batch is indistinguishable from its
-                # expansion (per-send staging, events and dedup).
-                for sub in send.expanded():
-                    self._stage_one(sender, sub, round_no, emit_send)
-                continue
-            self._stage_one(sender, send, round_no, emit_send)
-
-    def _stage_one(
-        self, sender: NodeId, send: Send, round_no: Round, emit_send
-    ) -> None:
-        message = send.stamped(sender)
-        dest = send.dest
-        if dest is BROADCAST:
-            staged = message not in self._broadcast_keys
-            if staged:
-                self._broadcast_keys.add(message)
-                self._broadcasts.append(message)
-        else:
-            state = self._nodes.get(dest)
-            staged = state is not None and state.alive
-            if staged:
-                state.direct.append(message)
-        if emit_send is not None:
-            emit_send(
-                MessageSent(
-                    round_no,
-                    sender,
-                    send.kind,
-                    send.payload,
-                    send.instance,
-                    None if dest is BROADCAST else dest,
-                    self._wire_cost(sender, send),
-                    staged,
-                )
-            )
-
     def _stage_columnar(self, sends: list[tuple[NodeId, Send]]) -> None:
-        """Queue sends into the round's columns (columnar mode).
+        """Queue sends into the round's columns.
 
         Scalar broadcasts are four list appends; a batched fan-out is
         one interned segment per sender.  Direct sends still stamp real

@@ -19,6 +19,8 @@ preserved verbatim as the oracle.  Mirrors
 from its seed.
 """
 
+import hashlib
+
 from repro.core.parallel_consensus import (
     _ABSTAINED,
     KIND_INPUT,
@@ -288,7 +290,7 @@ def stage_columnar(stream):
 
     Returns ``(inbox, expanded)`` where the inbox rides a
     :class:`ColumnarIndex` and ``expanded`` is the per-send message list
-    the object path would have staged (duplicates retained — the naive
+    an object staging would have built (duplicates retained — the naive
     oracle counts sender *sets*, and the votes-dict insertion order of
     first occurrences is identical either way).
     """
@@ -309,6 +311,44 @@ def stage_columnar(stream):
                 Message(sender, kind, p, INSTANCE) for p in payloads
             )
     return Inbox(index=ColumnarIndex(cols)), expanded
+
+
+def keep_everything(state, messages):
+    """A delivery filter that drops nothing but returns a fresh list, so
+    every recipient is served by a private object inbox — the
+    per-recipient reference for the shared columnar index."""
+    return list(messages)
+
+
+#: (round, sends, deliveries, trace length, trace sha256) of
+#: :func:`backfill_run` at n=500, recorded on the engine's object
+#: delivery path before that path was retired.
+OBJECT_PATH_AT_500 = (
+    10,
+    503033,
+    252013030,
+    3502,
+    "172fb7e73d68bd8f1df45c1e2d32819cc6a84b178953609c758c86d4e7350cb7",
+)
+
+
+def backfill_run(n, delivery_filter=None):
+    """A parallel-consensus run where only node 0 inputs ("b", 20), so
+    every other node joins that instance through the join-round ⊥
+    back-fill; a byzantine noise sender outside the frozen membership
+    exercises the restricted-membership tally path."""
+    from repro.adversary import RandomNoiseStrategy
+
+    net = SyncNetwork(seed=7)
+    net._delivery_filter = delivery_filter
+    for i in range(n):
+        inputs = {"a": 10}
+        if i == 0:
+            inputs["b"] = 20
+        net.add_correct(i, ParallelConsensus(inputs))
+    net.add_byzantine(n, RandomNoiseStrategy())
+    net.run(60)
+    return net
 
 
 class TestColumnarTallyCoherence:
@@ -367,40 +407,45 @@ class TestColumnarTallyCoherence:
         assert got == (TWIN_A, 2)  # first-staged twin wins the tie
 
     def test_columnar_network_replays_object_path_at_scale(self):
-        # End-to-end equivalence at n >= 500: the columnar plane must be
-        # observationally identical to the object path — same outputs,
-        # same round count, same send/delivery totals, same protocol
-        # trace.  Only node 0 inputs the pair ("b", 20), so 499 nodes
-        # join that instance through the join-round ⊥ back-fill, and the
-        # byzantine noise sender sits outside the frozen membership,
-        # exercising the restricted-membership tally path.
-        from repro.adversary import RandomNoiseStrategy
+        # End-to-end equivalence at n >= 500: the shared columnar index
+        # must reproduce, exactly, what the engine's retired object
+        # delivery path (every recipient aliasing one object InboxIndex)
+        # recorded on this run — outputs, round count, send/delivery
+        # totals and the full protocol trace.
+        net = backfill_run(500)
+        trace = list(net.trace)
+        assert (
+            net.round,
+            net.metrics.sends_total,
+            net.metrics.deliveries_total,
+            len(trace),
+            hashlib.sha256(repr(trace).encode()).hexdigest(),
+        ) == OBJECT_PATH_AT_500
+        outputs = net.outputs()
+        assert len(outputs) == 500
+        assert set(outputs.values()) == {(("a", 10),)}
 
-        def build(columnar):
-            n = 500
-            net = SyncNetwork(seed=7, columnar=columnar)
-            for i in range(n):
-                inputs = {"a": 10}
-                if i == 0:
-                    inputs["b"] = 20  # 499 nodes join "b" via back-fill
-                net.add_correct(i, ParallelConsensus(inputs))
-            net.add_byzantine(n, RandomNoiseStrategy())
-            net.run(60)
-            return net
-
-        with_columns = build(columnar=True)
-        object_path = build(columnar=False)
-        assert with_columns.outputs() == object_path.outputs()
-        assert with_columns.round == object_path.round
+    def test_columnar_network_matches_per_recipient_filter(self):
+        # The same run against a live per-recipient reference: a
+        # keep-everything delivery filter hands each recipient a fresh
+        # list, so a private object InboxIndex and private contacts.
+        # Every recipient then rebuilds its own tallies — quadratic in
+        # n per round — so the reference runs at n = 64; neither size
+        # reaches a size-dependent branch of the plane (the numpy
+        # cut-over needs 4096 rows in a round).
+        with_columns = backfill_run(64)
+        per_recipient = backfill_run(64, keep_everything)
+        assert with_columns.outputs() == per_recipient.outputs()
+        assert with_columns.round == per_recipient.round
         assert (
             with_columns.metrics.sends_total
-            == object_path.metrics.sends_total
+            == per_recipient.metrics.sends_total
         )
         assert (
             with_columns.metrics.deliveries_total
-            == object_path.metrics.deliveries_total
+            == per_recipient.metrics.deliveries_total
         )
-        assert list(with_columns.trace) == list(object_path.trace)
+        assert list(with_columns.trace) == list(per_recipient.trace)
         assert with_columns.outputs(), "the run must actually decide"
 
     def test_columnar_join_backfill_matches_object_path_at_scale(self):
@@ -408,7 +453,7 @@ class TestColumnarTallyCoherence:
         # joiner (delivered the previous round's broadcasts through the
         # extras layer over the shared columnar index) and a forced
         # leave must leave every node's per-round sender view identical
-        # to the object path's.
+        # to the per-recipient object path's (keep-everything filter).
         from repro.sim.node import NodeApi, Protocol
 
         class Beat(Protocol):
@@ -420,12 +465,14 @@ class TestColumnarTallyCoherence:
                 self.heard_by_round[api.round] = sorted(inbox.senders())
                 api.broadcast("beat", api.round)
 
-        def build(columnar):
+        def build(per_recipient):
             n = 500
             schedule = MembershipSchedule()
             schedule.join(3, n, Beat)
             schedule.leave(5, 1)
-            net = SyncNetwork(seed=2, membership=schedule, columnar=columnar)
+            net = SyncNetwork(seed=2, membership=schedule)
+            if per_recipient:
+                net._delivery_filter = keep_everything
             for i in range(n):
                 net.add_correct(i, Beat())
             net.run(6, until_all_halted=False)
@@ -434,8 +481,8 @@ class TestColumnarTallyCoherence:
                 for nid, state in net._nodes.items()
             }
 
-        with_columns = build(columnar=True)
-        object_path = build(columnar=False)
+        with_columns = build(per_recipient=False)
+        object_path = build(per_recipient=True)
         assert with_columns == object_path
         joiner = with_columns[500]
         assert min(joiner) == 3  # first active round

@@ -1,5 +1,7 @@
 """Byte accounting on the simulator (wire-codec-accurate)."""
 
+import pytest
+
 from repro.core.consensus import EarlyConsensus
 from repro.sim.network import SyncNetwork
 
@@ -61,3 +63,41 @@ class TestByteMetrics:
         net.add_correct(1, WeirdPayload())
         net.run(1, until_all_halted=False)
         assert net.metrics.bytes_total > 0
+
+    def test_oversized_frame_falls_back_to_repr(self):
+        from repro.net.wire import MAX_FRAME_BYTES
+        from repro.sim.inbox import Inbox
+        from repro.sim.node import NodeApi, Protocol
+
+        huge = "x" * MAX_FRAME_BYTES
+
+        class Oversized(Protocol):
+            def on_round(self, api: NodeApi, inbox: Inbox) -> None:
+                api.broadcast("big", huge)  # codec refuses: frame limit
+                self.halt(api)
+
+        net = SyncNetwork(seed=0, measure_bytes=True)
+        net.add_correct(1, Oversized())
+        net.run(1, until_all_halted=False)
+        assert net.metrics.bytes_total == len(repr(("big", huge, None)))
+
+    def test_unrelated_encoding_error_propagates(self):
+        # Only the codec's declared refusals fall back to the repr
+        # estimate; a payload that breaks while being encoded is a bug
+        # and must surface, not be costed.
+        from repro.sim.inbox import Inbox
+        from repro.sim.node import NodeApi, Protocol
+
+        class Exploding(tuple):
+            def __iter__(self):
+                raise RuntimeError("payload exploded mid-encode")
+
+        class Sender(Protocol):
+            def on_round(self, api: NodeApi, inbox: Inbox) -> None:
+                api.broadcast("boom", Exploding((1, 2)))
+                self.halt(api)
+
+        net = SyncNetwork(seed=0, measure_bytes=True)
+        net.add_correct(1, Sender())
+        with pytest.raises(RuntimeError, match="exploded"):
+            net.run(1, until_all_halted=False)
