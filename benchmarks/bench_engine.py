@@ -33,21 +33,24 @@ Five workloads:
   ``messages_per_decision`` is judged against.
 
 Each row reports rounds/sec, *logical* deliveries/sec (staged entries ×
-recipients — the classical message-complexity figure, not work done),
-``materialized_messages`` (Message objects the columnar plane actually
-built — the honest work figure), staged entries vs logical deliveries
-per round, the decision economy (decisions, messages/decision), whether
-tracemalloc was on for the row, its peak, and the engine's per-phase
-time split from ``Metrics``.  Tracemalloc roughly halves engine
+recipients — the classical message-complexity figure, not work done;
+JSON only, not a table column), ``materialized_messages`` (Message
+objects the columnar plane actually built — the honest work figure),
+staged entries vs logical deliveries per round, the decision economy
+(decisions, messages/decision), whether tracemalloc was on for the
+row, its peak, and the engine's per-phase time split from
+``Metrics``.  Tracemalloc roughly halves engine
 throughput, so rows above ``TRACEMALLOC_MAX_N`` run with it off
 (``tracemalloc: false``, ``peak_traced_kib`` null) and only rows with
 the same ``tracemalloc`` flag are throughput-comparable; pass
 ``--no-tracemalloc`` to disable it everywhere.
 
-Results go to ``results/BENCH_engine.json`` (and a table in
-``results/BENCH_engine.md``).  CI runs ``python benchmarks/bench_engine.py
---sizes 50 --check results/BENCH_engine_baseline.json`` as a non-gating
-perf smoke over the workloads: it fails only on a
+Results go to ``results/BENCH_engine.json``, and the table in
+``results/BENCH_engine.md`` is rendered from that payload alone
+(:func:`render_markdown`; ``--out`` moves both).  CI runs
+``python benchmarks/bench_engine.py --sizes 50 --check
+results/BENCH_engine_baseline.json`` as a non-gating perf smoke over
+the workloads: it fails only on a
 >``PERF_SMOKE_MAX_SLOWDOWN``× rounds/sec regression against the
 committed baseline.  ``--check-economy`` additionally fails when a
 row's ``messages_per_decision`` exceeds the committed baseline's by
@@ -65,6 +68,7 @@ import sys
 import time
 import tracemalloc
 
+from repro.analysis.report import format_table
 from repro.core.committee import committee_size
 from repro.core.consensus import EarlyConsensus
 from repro.core.implicit_agreement import (
@@ -350,23 +354,22 @@ def build_results(
     }
 
 
-def write_outputs(payload: dict, out: pathlib.Path) -> None:
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    from benchmarks._harness import emit_table
+def render_markdown(payload: dict) -> str:
+    """The markdown table for a results payload (a pure function of it).
 
-    emit_table(
-        "BENCH_engine",
+    The committed ``results/BENCH_engine.md`` is exactly this rendering
+    of the committed ``results/BENCH_engine.json``, so the two can never
+    drift apart.  ``logical_deliveries_per_sec`` stays in the JSON but
+    is not a column: it is a model quantity (staged × recipients), not
+    work done, and reads like throughput.
+    """
+    return format_table(
         [
             {
                 "workload": entry["workload"],
                 "n": row["n"],
                 "rounds": row["rounds"],
                 "rounds/s": row["rounds_per_sec"],
-                # Logical deliveries (staged × recipients): the message-
-                # complexity figure.  Work actually done on the columnar
-                # path is the materialized column.
-                "logical deliv/s": row["logical_deliveries_per_sec"],
                 "materialized": row["materialized_messages"],
                 "staged/round": row["staged_entries_per_round"],
                 "alloc reduction": f"{row['alloc_reduction_vs_per_recipient']}x",
@@ -387,6 +390,16 @@ def write_outputs(payload: dict, out: pathlib.Path) -> None:
         "index; rows are throughput-comparable only within one "
         "tracemalloc setting)",
     )
+
+
+def write_outputs(payload: dict, out: pathlib.Path) -> None:
+    """Write *payload* to *out* and its rendering beside it (``.md``)."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    text = render_markdown(payload)
+    out.with_suffix(".md").write_text(text)
+    print()
+    print(text)
 
 
 def baseline_subset(payload: dict, n: int = 50) -> dict:
@@ -507,9 +520,10 @@ def run_agreement_sweep(seeds: int) -> dict:
     return summary
 
 
-def test_engine_hot_path(benchmark):
+def test_engine_hot_path(benchmark, tmp_path):
+    # Timings of this reduced run never overwrite the committed results.
     payload = build_results(sizes=(50, 200))
-    write_outputs(payload, RESULTS_DIR / "BENCH_engine.json")
+    write_outputs(payload, tmp_path / "BENCH_engine.json")
     by_name = {
         entry["workload"]: entry["results"]
         for entry in payload["workloads"]

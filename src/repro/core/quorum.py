@@ -124,6 +124,11 @@ class EchoDecision:
     echo: list[Hashable] = field(default_factory=list)
     #: Tags newly accepted this round: reached ``2n_v/3``.
     newly_accepted: list[Hashable] = field(default_factory=list)
+    #: Set on the shared-plane fast path: ``echo`` as the round-shared
+    #: tuple, the one object every node with the same prior state
+    #: passes to ``broadcast_many`` so the network interns the fan-out
+    #: once (see :meth:`echo_batch`).
+    echo_tags: tuple[Hashable, ...] | None = None
     #: Set on the shared-plane fast path: the round-shared delta this
     #: decision came from (``echo``/``newly_accepted`` are then shared
     #: lists, identical objects for every node that adopted the same
@@ -134,6 +139,15 @@ class EchoDecision:
     #: The evaluation round, when ``shared_delta`` is set.
     decided_round: Round | None = None
 
+    def echo_batch(self) -> tuple[Hashable, ...]:
+        """``echo`` as a payload tuple for ``broadcast_many``.
+
+        The round-shared tuple on the plane's fast path (never copied
+        per node); a private tuple otherwise.
+        """
+        tags = self.echo_tags
+        return tags if tags is not None else tuple(self.echo)
+
 
 class _EchoDelta:
     """One shared echo decision *relative to* a prior accepted dict.
@@ -141,10 +155,18 @@ class _EchoDelta:
     Computed once per distinct prior state per round; in the lock-step
     all-correct steady state every node carries the identical prior
     object, so the whole population shares a single delta — and adopts
-    the single merged accepted dict / sorted tag list it memoizes.
+    the single merged accepted dict / sorted tag list it memoizes, and
+    broadcasts the single ``echo_tags`` tuple built here.
     """
 
-    __slots__ = ("echo", "newly", "_prior", "_merged", "_sorted")
+    __slots__ = (
+        "echo",
+        "echo_tags",
+        "newly",
+        "_prior",
+        "_merged",
+        "_sorted",
+    )
 
     def __init__(
         self,
@@ -153,6 +175,7 @@ class _EchoDelta:
         prior: dict[Hashable, Round] | None,
     ):
         self.echo = echo
+        self.echo_tags = tuple(echo)
         self.newly = newly
         self._prior = prior
         self._merged: tuple[Round, dict] | None = None
@@ -374,10 +397,13 @@ class EchoVoting:
                 return EchoDecision(
                     echo=delta.echo,
                     newly_accepted=delta.newly,
+                    echo_tags=delta.echo_tags,
                     shared_delta=delta,
                     decided_round=round_no,
                 )
-            return EchoDecision(echo=delta.echo, newly_accepted=[])
+            return EchoDecision(
+                echo=delta.echo, newly_accepted=[], echo_tags=delta.echo_tags
+            )
         decision = EchoDecision()
         pending = self._pending
         if pending:

@@ -104,12 +104,14 @@ class CandidateSet:
 
     def evaluate(
         self, api: NodeApi, n_v: int, broadcast: bool = True
-    ) -> list[NodeId]:
+    ) -> tuple[NodeId, ...]:
         """Apply thresholds: accept full quorums, (re-)echo sub-quorum ids.
 
         Returns the ids due an echo; with ``broadcast=False`` the caller
         is responsible for sending them (Algorithm 2 defers the broadcast
         of ``B_v`` to the end of the round and skips it on termination).
+        On the echo-decision plane the returned tuple is the round-shared
+        one, so every node's echo fan-out is the same object.
         """
         decision = self.voting.evaluate(n_v, api.round)
         newly = decision.newly_accepted
@@ -129,11 +131,10 @@ class CandidateSet:
                     self._candidates_shared = False
                 for candidate in newly:
                     bisect.insort(self.candidates, candidate)
-        if broadcast and decision.echo:
-            api.broadcast_many(
-                KIND_ECHO, decision.echo, instance=self.instance
-            )
-        return decision.echo
+        echoes = decision.echo_batch()
+        if broadcast and echoes:
+            api.broadcast_many(KIND_ECHO, echoes, instance=self.instance)
+        return echoes
 
     def __len__(self) -> int:
         return len(self.candidates)

@@ -14,7 +14,9 @@ pass over interned ids.
 Three pieces:
 
 * :class:`ColumnarPlane` — per-network intern tables (payloads, kinds,
-  instances, canonical broadcast batches).  Interning follows the same
+  instances, canonical broadcast batches; only each batch's own
+  canonical tuple is aliased by identity, so the tables grow with
+  distinct values, never with callers).  Interning follows the same
   value-equality the legacy ``dict``-based tallies used: the first
   object seen for a value becomes canonical, exactly like the first
   occurrence kept as a dict key.
@@ -59,10 +61,6 @@ _SCALARIZED = object()
 
 #: Rows below this threshold never bother converting to numpy.
 _NP_MIN_ROWS = 4096
-
-#: Stop growing the batch identity-alias map past this point (a run
-#: that churns distinct payload tuples falls back to value hashing).
-_MAX_BATCH_ALIASES = 65536
 
 
 class Batch:
@@ -141,6 +139,7 @@ class ColumnarPlane:
         "_instance_ids",
         "_batches",
         "_batch_aliases",
+        "_last_lookup",
     )
 
     def __init__(self) -> None:
@@ -162,9 +161,18 @@ class ColumnarPlane:
         self._instance_ids: dict[Hashable, int] = {}
         #: (kind, payloads, instance) -> canonical Batch.
         self._batches: dict[tuple, Batch] = {}
-        #: id(payload_tuple) -> (referent, Batch): identity fast path
-        #: for the shared tuples the quorum plane hands every node.
-        self._batch_aliases: dict[int, tuple[tuple, Batch]] = {}
+        #: id(canonical payload tuple) -> Batch: identity fast path for
+        #: the shared tuples the quorum plane hands every node.  Only a
+        #: batch's own canonical tuple is aliased (the Batch holds it,
+        #: so the id cannot be recycled), so this never outgrows
+        #: ``_batches``.
+        self._batch_aliases: dict[int, Batch] = {}
+        #: The last tuple resolved by value, with its batch: a shared
+        #: tuple equal to an *earlier* round's batch (the consensus
+        #: rotor's first step re-echoes round 2's announcers) then
+        #: costs one hash per round, not one per node.  Pins at most
+        #: one extra tuple.
+        self._last_lookup: tuple[tuple, Batch] | None = None
 
     @property
     def unique_payloads(self) -> int:
@@ -211,23 +219,32 @@ class ColumnarPlane:
         payloads: tuple[Hashable, ...],
         instance: Hashable,
     ) -> Batch:
-        """The canonical batch for this fan-out (identity fast path).
+        """The canonical batch for this fan-out (identity fast paths).
 
-        Nodes broadcasting the round's shared payload tuple (e.g. the
-        quorum plane's sorted-announcers tuple) hit the id() alias and
-        skip hashing the tuple entirely.
+        A new batch's payload tuple becomes its canonical tuple and gets
+        an id() alias; every later caller passing that same object (the
+        round-shared tuple the quorum plane hands every node) skips
+        hashing it.  A tuple merely equal to an existing batch is
+        resolved by value and remembered only in the one-slot
+        ``_last_lookup``, so plane memory is O(distinct batches), never
+        O(callers).
         """
-        alias = self._batch_aliases.get(id(payloads))
-        if alias is not None and alias[0] is payloads:
-            return alias[1]
+        hit = self._batch_aliases.get(id(payloads))
+        if hit is None or hit.payloads is not payloads:
+            last = self._last_lookup
+            hit = last[1] if last is not None and last[0] is payloads else None
+        # The same tuple object may carry another kind or instance.
+        if hit is not None and hit.kind == kind and hit.instance == instance:
+            return hit
         key = (kind, payloads, instance)
         batch = self._batches.get(key)
         if batch is None:
             batch = self._batches[key] = Batch(
                 self, kind, payloads, instance
             )
-        if len(self._batch_aliases) < _MAX_BATCH_ALIASES:
-            self._batch_aliases[id(payloads)] = (payloads, batch)
+            self._batch_aliases[id(payloads)] = batch
+        else:
+            self._last_lookup = (payloads, batch)
         return batch
 
     def new_round(self) -> "RoundColumns":

@@ -100,11 +100,6 @@ from repro.sim.trace import Trace
 from repro.types import NodeId, Round
 
 
-#: Shared empty inbox for nodes with no deliveries this round.  Inboxes
-#: are immutable views, so one instance serves every such node.
-_EMPTY_INBOX = Inbox()
-
-
 class ByzantineActor(TypingProtocol):
     """Structural interface for Byzantine strategies (see repro.adversary)."""
 
@@ -218,6 +213,11 @@ class SyncNetwork:
         #: The columns this round's broadcasts stage into, swapped for a
         #: fresh instance at each delivery.
         self._staging_cols = self._plane.new_round()
+        #: The empty inbox every node with no deliveries gets.  Inboxes
+        #: are immutable views, so one instance serves the whole run;
+        #: it is per network because its index memoizes membership
+        #: keys (``covered_by``, ``derive``) that must die with the run.
+        self._empty_inbox = Inbox()
         #: Cumulative broadcast-sender pool: the shared contacts
         #: frozenset for founding nodes.
         self._contact_pool: frozenset[NodeId] = frozenset()
@@ -440,10 +440,9 @@ class SyncNetwork:
         correct_sends: list[tuple[NodeId, Send]] = []
         run_correct = self._run_correct
         get_inbox = inboxes.get
+        empty = self._empty_inbox
         for state in self._iter_alive(byzantine=False):
-            sends = run_correct(
-                state, get_inbox(state.node_id, _EMPTY_INBOX)
-            )
+            sends = run_correct(state, get_inbox(state.node_id, empty))
             if sends:
                 node_id = state.node_id
                 correct_sends.extend([(node_id, s) for s in sends])
@@ -473,7 +472,7 @@ class SyncNetwork:
                 view = AdversaryView(
                     node_id=state.node_id,
                     round=self.round,
-                    inbox=inboxes.get(state.node_id, _EMPTY_INBOX),
+                    inbox=inboxes.get(state.node_id, self._empty_inbox),
                     all_nodes=alive,
                     correct_nodes=correct_alive,
                     byzantine_nodes=byzantine_alive,

@@ -66,8 +66,13 @@ class NodeApi:
         Semantically identical to calling :meth:`broadcast` for each
         payload; the fan-out is staged as one batch so a round that
         re-echoes every known tag costs O(1) on the wire-staging path.
-        Passing the same payload tuple object from every node (e.g. a
-        shared per-round tally) lets the network intern the batch once.
+
+        Fan-out contract: pass the round-shared payload *tuple* (e.g.
+        the echo decision's ``echo_tags``), the same object from every
+        node.  The network then interns the batch once and keeps no
+        per-caller state, so its memory is O(distinct batches), never
+        O(callers); a list, or a per-node copy, is converted or hashed
+        once per caller.
         """
         self._outbox.broadcast_many(kind, payloads, instance)
 

@@ -341,6 +341,28 @@ class TestColumnarCoherence:
         # Homogeneous rounds share one sender frozenset across tags.
         assert tally[1] is tally[2] is tally[3]
 
+    def test_batch_aliases_hold_only_canonical_tuples(self):
+        plane = ColumnarPlane()
+        canonical = (1, 2, 3)
+        first = plane.intern_batch("echo", canonical, None)
+        assert first.payloads is canonical
+        # Equal tuples from many callers resolve by value and are not
+        # retained: the alias map tracks batches, not callers.
+        for _ in range(50):
+            equal = tuple(list(canonical))
+            assert equal is not canonical
+            assert plane.intern_batch("echo", equal, None) is first
+        assert len(plane._batch_aliases) == len(plane._batches) == 1
+        # The same tuple object under another kind or instance is a
+        # different batch, never the aliased one.
+        other_kind = plane.intern_batch("init", canonical, None)
+        other_instance = plane.intern_batch("echo", canonical, "i")
+        assert other_kind is not first and other_kind.kind == "init"
+        assert other_instance is not first
+        assert other_instance.instance == "i"
+        assert plane.intern_batch("echo", canonical, None) is first
+        assert len(plane._batch_aliases) <= len(plane._batches) == 3
+
     def test_join_round_backfill_layering(self):
         # A joiner's direct extras layer over the shared columnar index
         # (the engine's join-round back-fill path): the overlay must be

@@ -269,24 +269,51 @@ class TestSharedIndex:
         assert target.inboxes[2].count("x", payload=1) == 1
 
     def test_empty_round_inboxes_share_the_empty_singleton(self):
-        from repro.sim.network import _EMPTY_INBOX
-
-        class SilentKeeper(Protocol):
-            def __init__(self):
-                super().__init__()
-                self.inboxes = []
-
-            def on_round(self, api, inbox):
-                self.inboxes.append(inbox)
-
-        quiet = [SilentKeeper(), SilentKeeper()]
+        quiet = [_SilentKeeper(), _SilentKeeper()]
         net = self._network(quiet)
         net.step()
         net.step()
-        # nothing was ever sent: the engine hands every node the one
-        # module-level empty inbox instead of allocating per node.
-        for keeper in quiet:
-            assert all(box is _EMPTY_INBOX for box in keeper.inboxes)
+        # nothing was ever sent: the engine hands every node, in every
+        # round, the network's one empty inbox instead of allocating
+        # per node.
+        boxes = [box for keeper in quiet for box in keeper.inboxes]
+        assert len(boxes) == 4
+        first = boxes[0]
+        assert not first
+        assert all(box is first for box in boxes)
+
+    def test_networks_never_share_empty_inbox_memos(self):
+        # The empty inbox's index memoizes membership keys; a second
+        # network (a second run in the same process) must start from
+        # a fresh one, never from the first run's memo state.
+        first_keepers = [_SilentKeeper(), _SilentKeeper()]
+        second_keepers = [_SilentKeeper(), _SilentKeeper()]
+        first = self._network(first_keepers)
+        second = self._network(second_keepers)
+        first.step()
+        second.step()
+        box_a = first_keepers[0].inboxes[0]
+        box_b = second_keepers[0].inboxes[0]
+        assert box_a is not box_b
+        assert box_a.index is not box_b.index
+        members = frozenset({0, 1})
+        assert box_a.index.covered_by(members)
+        box_a.derive("memo", lambda idx: "first run")
+        assert box_b.derive("memo", lambda idx: "second run") == (
+            "second run"
+        )
+        assert members not in box_b.index._covered
+
+
+class _SilentKeeper(Protocol):
+    """Never sends; records every inbox it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.inboxes = []
+
+    def on_round(self, api, inbox):
+        self.inboxes.append(inbox)
 
 
 class ChattyByzantine:
