@@ -37,6 +37,7 @@ from repro.analysis.checkers import (
 from repro.analysis.report import format_table
 from repro.analysis.sweep import sweep
 from repro.asyncsim import run_async_partition, run_semisync_embedding
+from repro.errors import SimulationError
 from repro.scenario import (
     CHURN_KINDS,
     ChurnSpec,
@@ -182,7 +183,10 @@ def cmd_matrix(args) -> int:
             )
             try:
                 result = run_spec(spec)
-            except Exception:
+            except SimulationError:
+                # Booked as a liveness failure at the round budget, as
+                # sweep() does; any other exception is a crash and
+                # propagates.
                 rounds.append(args.max_rounds)
                 continue
             agreed += check_agreement(result).ok

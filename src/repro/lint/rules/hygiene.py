@@ -41,9 +41,9 @@ INBOX_PRIVATE_ATTRS = frozenset(
 )
 
 #: Columnar round-plane internals (src/repro/sim/columnar.py).  The
-#: engine stages every broadcast of a round into one shared
-#: struct-of-arrays store; a ColumnarIndex is a lazy view over it.
-#: Protocol code that reads the raw columns, the payload/kind/instance
+#: engine stages every broadcast of a round into one shared segment
+#: store; a ColumnarIndex is a lazy view over it.
+#: Protocol code that reads the raw segments, the payload/kind/instance
 #: intern tables, or the staging dedup state would couple itself to the
 #: storage layout (and any write would corrupt every aliasing
 #: recipient).  Protocols see messages, never columns.
@@ -56,9 +56,7 @@ COLUMNAR_PRIVATE_ATTRS = frozenset(
         "_instance_ids",
         "_batches",
         "_batch_aliases",
-        "_sender_batches",
-        "_scalar_ki",
-        "_sender_scalar_keys",
+        "_sender_payloads",
         "_materialized",
     }
 )

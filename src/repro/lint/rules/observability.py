@@ -22,7 +22,7 @@ PROTOCOL_LAYERS = ("core", "baselines")
 
 #: Observability plumbing classes protocol code must never name.
 PLUMBING_NAMES = frozenset(
-    {"EventBus", "Trace", "Metrics", "JsonlSink", "RecordingNetwork"}
+    {"EventBus", "Trace", "Metrics", "JsonlSink"}
 )
 
 #: Modules whose import into protocol code means plumbing access.

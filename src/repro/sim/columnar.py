@@ -1,33 +1,32 @@
-"""Columnar round plane: struct-of-arrays storage for broadcast rounds.
+"""Columnar round plane: a round's broadcasts as interned batch segments.
 
 The all-broadcast hot path used to allocate one
 :class:`~repro.sim.message.Message` per logical send per round.  At
 n = 10⁴ nodes that is 10⁴ objects per round before a single protocol
 runs — and every query over them re-hashes the same payloads.  The
-columnar plane replaces the per-message objects with four parallel
-columns (sender, kind-id, payload-id, instance-id; plain typed lists of
-small ints, ``numpy`` only as an optional accelerator behind the
-``analysis`` extra) plus a *payload intern table*, so staging one
-broadcast is a handful of list appends and every tally is a counting
-pass over interned ids.
+columnar plane stores a round as one list of *segments* instead: a
+segment is a ``(sender, batch)`` pair, and a :class:`Batch` is one
+interned ``(kind, payloads, instance)`` value.  There is one row
+format.  A ``broadcast_many`` fan-out stages its batch as one segment
+covering k logical sends; a single ``broadcast`` stages its canonical
+one-payload batch the same way.  Staging is an intern lookup and an
+append, and every tally is a counting pass grouped by batch.
 
 Three pieces:
 
 * :class:`ColumnarPlane` — per-network intern tables (payloads, kinds,
-  instances, canonical broadcast batches; only each batch's own
-  canonical tuple is aliased by identity, so the tables grow with
-  distinct values, never with callers).  Interning follows the same
-  value-equality the legacy ``dict``-based tallies used: the first
-  object seen for a value becomes canonical, exactly like the first
-  occurrence kept as a dict key.
-* :class:`RoundColumns` — one round's append-only store: scalar columns
-  for individual broadcasts plus *batch segments* for
-  ``broadcast_many`` fan-outs (one segment entry covers k logical
-  sends).  Columns are append-only within a round and frozen at
-  delivery; views never copy them (pinned in DESIGN.md §4).
+  instances, canonical batches; only each batch's own canonical tuple
+  is aliased by identity, so the tables grow with distinct values,
+  never with callers).  Interning follows the same value-equality the
+  legacy ``dict``-based tallies used: the first object seen for a
+  value becomes canonical, exactly like the first occurrence kept as a
+  dict key.
+* :class:`RoundColumns` — one round's append-only segment list.
+  Segments are append-only within a round and frozen at delivery;
+  views never copy them (pinned in DESIGN.md §4).
 * :class:`ColumnarIndex` — an :class:`~repro.sim.inbox.InboxIndex`
   whose sender sets, payload tallies and surveys are counting passes
-  over the columns; ``messages`` materializes lazily only when a
+  over the segments; ``messages`` materializes lazily only when a
   consumer genuinely iterates message objects (JSONL sinks, recorders,
   per-kind bucket filters).
 
@@ -47,20 +46,8 @@ from repro.sim.inbox import InboxIndex
 from repro.sim.message import Message
 from repro.types import NodeId
 
-try:  # Optional accelerator (the ``analysis`` extra); never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
 #: Query-key sentinel mirroring :mod:`repro.sim.inbox`.
 _ANY = ...
-
-#: Marker in the per-sender batch map: this (sender, kind, instance)
-#: fell back to scalar staging (mixed batch/scalar traffic).
-_SCALARIZED = object()
-
-#: Rows below this threshold never bother converting to numpy.
-_NP_MIN_ROWS = 4096
 
 
 class Batch:
@@ -247,68 +234,84 @@ class ColumnarPlane:
             self._last_lookup = (payloads, batch)
         return batch
 
+    def value_batch(
+        self,
+        kind: str,
+        payloads: tuple[Hashable, ...],
+        instance: Hashable,
+    ) -> Batch:
+        """The batch equal to ``(kind, payloads, instance)``, by value only.
+
+        Staging resolves a single broadcast (a one-payload tuple) and
+        the fresh remainder of a partly duplicate batch here.  These
+        lookups never touch the identity aliases or ``_last_lookup``:
+        n single broadcasts must not evict the slot a round-shared
+        fan-out tuple relies on.  A new batch is built from the
+        canonical (first-seen) payload and instance objects, as a
+        single broadcast always was: an ``int`` 0 sent after a float
+        0.0 was interned is delivered as 0.0.  Finding an existing
+        batch counts each of its payloads as an intern hit, as
+        interning them one by one would.
+        """
+        key = (kind, payloads, instance)
+        batch = self._batches.get(key)
+        if batch is not None:
+            self.payload_intern_hits += len(batch.staged_payloads)
+            return batch
+        payload_ids = self._payload_ids
+        canonical = tuple(
+            p if (pid := payload_ids.get(p)) is None else self.payloads[pid]
+            for p in payloads
+        )
+        iid = self._instance_ids.get(instance)
+        if iid is not None:
+            instance = self.instances[iid]
+        batch = self._batches[key] = Batch(self, kind, canonical, instance)
+        return batch
+
     def new_round(self) -> "RoundColumns":
         return RoundColumns(self)
 
 
 class RoundColumns:
-    """One round's append-only struct-of-arrays broadcast store.
+    """One round's append-only broadcast store: ``(sender, batch)``
+    segments in staging order.
 
-    Scalar broadcasts append one entry to each of the four parallel
-    columns; ``broadcast_many`` batches append one *segment* record
-    ``(scalar_boundary, sender, batch)`` covering k logical sends.
-    Pinned invariant (DESIGN.md §4): columns are append-only within the
-    round and frozen once delivery starts; every view (indexes, lazy
-    message sequences, tallies) reads them in place and never copies.
+    Every broadcast is a segment: a ``broadcast_many`` fan-out stages
+    its interned batch, a single broadcast its canonical one-payload
+    batch.  Pinned invariant (DESIGN.md §4): segments are append-only
+    within the round and frozen once delivery starts; every view
+    (indexes, lazy message sequences, tallies) reads them in place and
+    never copies.
 
     Duplicate suppression matches the legacy per-round Message-set
     exactly: a (sender, kind, payload, instance) already staged this
-    round — scalar or inside one of the sender's batches — is dropped.
+    round is dropped, and a batch that partly repeats the sender's
+    earlier sends stages only its fresh payloads, as their own
+    canonical batch.
     """
 
     __slots__ = (
         "plane",
-        "senders",
-        "kind_ids",
-        "payload_ids",
-        "instance_ids",
         "segments",
-        "batch_rows",
-        "_dedup",
-        "_sender_batches",
-        "_scalar_ki",
-        "_sender_scalar_keys",
+        "rows",
+        "_sender_payloads",
         "_materialized",
-        "_np_kind_ids",
     )
 
     def __init__(self, plane: ColumnarPlane) -> None:
         self.plane = plane
-        self.senders: list[NodeId] = []
-        self.kind_ids: list[int] = []
-        self.payload_ids: list[int] = []
-        self.instance_ids: list[int] = []
-        #: (scalar rows staged before this segment, sender, batch).
-        self.segments: list[tuple[int, NodeId, Batch]] = []
-        #: Logical rows contributed by segments (sum of batch lengths).
-        self.batch_rows: int = 0
-        #: (sender, kind_id, instance_id, payload) for every staged
-        #: scalar row — the raw payload keeps the legacy Message
-        #: value-equality dedup semantics.
-        self._dedup: set[tuple] = set()
-        #: (sender, kind_id, instance_id) -> [Batch, ...] | _SCALARIZED.
-        self._sender_batches: dict[tuple, Any] = {}
-        #: Distinct (kind_id, instance_id) pairs among scalar rows.
-        self._scalar_ki: set[tuple[int, int]] = set()
-        #: (sender, kind_id, instance_id) triples with at least one
-        #: scalar row: a later batch on the same triple must fall back
-        #: to scalar staging so cross-form duplicates are suppressed.
-        self._sender_scalar_keys: set[tuple] = set()
+        self.segments: list[tuple[NodeId, Batch]] = []
+        #: Logical rows staged (sum of the segments' batch lengths).
+        self.rows: int = 0
+        #: (sender, kind_id, instance_id) -> the payloads that sender
+        #: staged: its one segment's Batch, turned into a payload set
+        #: only when a second segment arrives on the same triple.
+        self._sender_payloads: dict[tuple, Batch | set] = {}
         self._materialized: tuple[Message, ...] | None = None
-        self._np_kind_ids = None
 
     def __len__(self) -> int:
-        return len(self.senders) + self.batch_rows
+        return self.rows
 
     # ------------------------------------------------------------------
     # Staging
@@ -320,25 +323,15 @@ class RoundColumns:
         payload: Hashable,
         instance: Hashable,
     ) -> bool:
-        """Stage one scalar broadcast; False when it is a duplicate."""
+        """Stage one broadcast; False when it is a duplicate."""
         plane = self.plane
-        kid = plane.intern_kind(kind)
-        iid = plane.intern_instance(instance)
-        if self._sender_batches:
-            prior = self._sender_batches.get((sender, kid, iid))
-            if prior is not None and prior is not _SCALARIZED:
-                self._scalarize(sender, kid, iid, prior)
-        self._sender_scalar_keys.add((sender, kid, iid))
-        key = (sender, kid, iid, payload)
-        if key in self._dedup:
-            return False
-        self._dedup.add(key)
-        self.senders.append(sender)
-        self.kind_ids.append(kid)
-        self.payload_ids.append(plane.intern_payload(payload))
-        self.instance_ids.append(iid)
-        self._scalar_ki.add((kid, iid))
-        return True
+        hits = plane.payload_intern_hits
+        batch = plane.value_batch(kind, (payload,), instance)
+        if self.stage_batch(sender, batch)[0]:
+            return True
+        # A duplicate stages nothing: its lookup is no interning win.
+        plane.payload_intern_hits = hits
+        return False
 
     def stage_batch(
         self, sender: NodeId, batch: Batch
@@ -349,62 +342,33 @@ class RoundColumns:
         *original* payload tuple; ``flags`` is None when every payload
         staged (the hot path).
         """
-        skey = (sender, batch.kind_id, batch.instance_id)
-        prior = self._sender_batches.get(skey)
-        if prior is None:
-            if skey in self._sender_scalar_keys:
-                # The sender already staged a scalar on this triple:
-                # stage the batch scalar-by-scalar so an exact duplicate
-                # of that earlier send is suppressed, as on the legacy
-                # path.
-                self._sender_batches[skey] = _SCALARIZED
-                return self._stage_batch_scalar(sender, batch)
-            self._sender_batches[skey] = [batch]
-        elif prior is _SCALARIZED:
-            return self._stage_batch_scalar(sender, batch)
-        else:
-            for earlier in prior:
-                if earlier is batch:
-                    # The sender re-broadcast the identical batch: every
-                    # payload is a duplicate of its first staging.
-                    return 0, (False,) * len(batch.payloads)
-            # Distinct batches on one (sender, kind, instance): fall
-            # back to scalar staging so segments stay overlap-free.
-            self._scalarize(sender, batch.kind_id, batch.instance_id, prior)
-            return self._stage_batch_scalar(sender, batch)
-        self.segments.append((len(self.senders), sender, batch))
-        self.batch_rows += len(batch.staged_payloads)
-        if batch.dup_flags is None:
-            return len(batch.payloads), None
-        return len(batch.staged_payloads), batch.dup_flags
-
-    def _scalarize(
-        self, sender: NodeId, kid: int, iid: int, batches: list[Batch]
-    ) -> None:
-        """Fold a sender's staged batches into the scalar dedup set.
-
-        Taken only when one sender mixes batches and scalars (or two
-        distinct batches) on the same kind/instance — never on the
-        all-correct hot path.  The already-staged segments stay where
-        they are; this only arms exact duplicate detection for the
-        sends that follow.
-        """
-        dedup = self._dedup
-        for batch in batches:
-            for payload in batch.staged_payloads:
-                dedup.add((sender, kid, iid, payload))
-        self._sender_batches[(sender, kid, iid)] = _SCALARIZED
-
-    def _stage_batch_scalar(
-        self, sender: NodeId, batch: Batch
-    ) -> tuple[int, tuple[bool, ...] | None]:
+        key = (sender, batch.kind_id, batch.instance_id)
+        sent = self._sender_payloads.get(key)
+        if sent is None:
+            self._sender_payloads[key] = batch
+            self.segments.append((sender, batch))
+            self.rows += len(batch.staged_payloads)
+            if batch.dup_flags is None:
+                return len(batch.payloads), None
+            return len(batch.staged_payloads), batch.dup_flags
+        if type(sent) is Batch:
+            sent = self._sender_payloads[key] = set(sent.staged_payloads)
+        fresh = []
         flags = []
-        staged_count = 0
         for payload in batch.payloads:
-            staged = self.stage(sender, batch.kind, payload, batch.instance)
-            flags.append(staged)
-            staged_count += staged
-        return staged_count, tuple(flags)
+            new = payload not in sent
+            if new:
+                sent.add(payload)
+                fresh.append(payload)
+            flags.append(new)
+        if fresh:
+            if len(fresh) < len(batch.staged_payloads):
+                batch = self.plane.value_batch(
+                    batch.kind, tuple(fresh), batch.instance
+                )
+            self.segments.append((sender, batch))
+            self.rows += len(fresh)
+        return len(fresh), tuple(flags)
 
     def contains_message(self, message: Message) -> bool:
         """Was an equal broadcast staged this round? (delivery dedup)."""
@@ -415,215 +379,102 @@ class RoundColumns:
         iid = plane.instance_id_of(message.instance)
         if iid is None:
             return False
-        sender = message.sender
-        if (sender, kid, iid, message.payload) in self._dedup:
-            return True
-        batches = self._sender_batches.get((sender, kid, iid))
-        if batches is None or batches is _SCALARIZED:
+        sent = self._sender_payloads.get((message.sender, kid, iid))
+        if sent is None:
             return False
-        return any(
-            message.payload in b.staged_payloads for b in batches
-        )
+        if type(sent) is Batch:
+            return message.payload in sent.staged_payloads
+        return message.payload in sent
 
     # ------------------------------------------------------------------
-    # Views (read-only; the columns are frozen once delivery starts)
+    # Views (read-only; the segments are frozen once delivery starts)
     # ------------------------------------------------------------------
-    def _walk(self) -> Iterator[tuple]:
-        """Yield ``("s", row_index)`` / ``("b", sender, batch)`` in exact
-        staging order (segments interleave with scalar runs by their
-        recorded scalar boundary)."""
-        pos = 0
-        for boundary, sender, batch in self.segments:
-            while pos < boundary:
-                yield ("s", pos)
-                pos += 1
-            yield ("b", sender, batch)
-        total = len(self.senders)
-        while pos < total:
-            yield ("s", pos)
-            pos += 1
+    def _build(self, segments) -> tuple[Message, ...]:
+        """Message objects for *segments*, in order, counted as built."""
+        out = tuple(
+            Message(sender, batch.kind, payload, batch.instance)
+            for sender, batch in segments
+            for payload in batch.staged_payloads
+        )
+        self.plane.messages_materialized += len(out)
+        return out
+
+    def _matching(
+        self, kind: str, instance: Any
+    ) -> list[tuple[NodeId, Batch]]:
+        """The segments of one kind (and instance, unless ``...``)."""
+        plane = self.plane
+        kid = plane.kind_id_of(kind)
+        if kid is None:
+            return []
+        if instance is _ANY:
+            return [seg for seg in self.segments if seg[1].kind_id == kid]
+        iid = plane.instance_id_of(instance)
+        if iid is None:
+            return []
+        return [
+            seg
+            for seg in self.segments
+            if seg[1].kind_id == kid and seg[1].instance_id == iid
+        ]
 
     def materialize(self) -> tuple[Message, ...]:
         """The round's messages as objects, built once and cached."""
         cached = self._materialized
         if cached is None:
-            plane = self.plane
-            kinds = plane.kinds
-            payloads = plane.payloads
-            instances = plane.instances
-            senders = self.senders
-            kind_ids = self.kind_ids
-            payload_ids = self.payload_ids
-            instance_ids = self.instance_ids
-            out: list[Message] = []
-            for entry in self._walk():
-                if entry[0] == "s":
-                    j = entry[1]
-                    out.append(
-                        Message(
-                            senders[j],
-                            kinds[kind_ids[j]],
-                            payloads[payload_ids[j]],
-                            instances[instance_ids[j]],
-                        )
-                    )
-                else:
-                    _, sender, batch = entry
-                    kind = batch.kind
-                    instance = batch.instance
-                    out.extend(
-                        Message(sender, kind, payload, instance)
-                        for payload in batch.staged_payloads
-                    )
-            cached = self._materialized = tuple(out)
-            plane.messages_materialized += len(cached)
+            cached = self._materialized = self._build(self.segments)
         return cached
-
-    def _scalar_matches(self, kid: int, iid_filter: Any) -> Iterator[int]:
-        """Scalar row indices with the given kind (and instance) id."""
-        kind_ids = self.kind_ids
-        if _np is not None and len(kind_ids) >= _NP_MIN_ROWS:
-            arr = self._np_kind_ids
-            if arr is None:
-                arr = self._np_kind_ids = _np.array(
-                    kind_ids, dtype=_np.int64
-                )
-            elif len(arr) != len(kind_ids):  # pragma: no cover - frozen
-                arr = self._np_kind_ids = _np.array(
-                    kind_ids, dtype=_np.int64
-                )
-            hits = _np.nonzero(arr == kid)[0].tolist()
-        else:
-            hits = [j for j, k in enumerate(kind_ids) if k == kid]
-        if iid_filter is _ANY:
-            return iter(hits)
-        instance_ids = self.instance_ids
-        return (j for j in hits if instance_ids[j] == iid_filter)
 
     def payload_tally(
         self, kind: str, instance: Any
     ) -> dict[Hashable, frozenset[NodeId]]:
         """payload -> distinct senders, in first-occurrence order.
 
-        Matches the legacy linear scan exactly, including ordering.
-        The all-segments case groups by canonical batch so homogeneous
-        echo rounds cost O(senders + payloads), not O(senders x
-        payloads) — every tag then shares one sender frozenset, which
-        the quorum plane's threshold caches key on by identity.
+        Groups the matching segments by canonical batch, in each
+        batch's first-occurrence order.  A payload first occurs in the
+        first segment of the first batch holding it, so walking the
+        groups in that order and each batch's payloads in tuple order
+        reproduces the stream's first-occurrence payload order (the
+        legacy linear scan's).  A homogeneous echo round costs
+        O(senders + payloads), not O(senders x payloads), and every tag
+        then shares one sender frozenset, which the quorum plane's
+        threshold caches key on by identity.
         """
-        plane = self.plane
-        kid = plane.kind_id_of(kind)
-        if kid is None:
-            return {}
-        iid = _ANY
-        if instance is not _ANY:
-            iid = plane.instance_id_of(instance)
-            if iid is None:
-                return {}
-        scalars_match = (
-            any(k == kid for k, _ in self._scalar_ki)
-            if iid is _ANY
-            else (kid, iid) in self._scalar_ki
-        )
-        seg_match = [
-            (sender, batch)
-            for _, sender, batch in self.segments
-            if batch.kind_id == kid
-            and (iid is _ANY or batch.instance_id == iid)
-        ]
-        if not scalars_match:
-            if not seg_match:
-                return {}
-            # Group segments by canonical batch (insertion order is the
-            # batches' first occurrence, which reproduces the stream's
-            # first-occurrence payload order).
-            by_batch: dict[Batch, list[NodeId]] = {}
-            for sender, batch in seg_match:
-                group = by_batch.get(batch)
-                if group is None:
-                    by_batch[batch] = [sender]
-                else:
-                    group.append(sender)
-            out: dict[Hashable, frozenset[NodeId]] = {}
-            for batch, group in by_batch.items():
-                shared = frozenset(group)
-                for payload in batch.staged_payloads:
-                    existing = out.get(payload)
-                    out[payload] = (
-                        shared if existing is None else existing | shared
-                    )
-            return out
-        grouped: dict[Hashable, set[NodeId]] = {}
-        payloads = plane.payloads
-        payload_ids = self.payload_ids
-        senders = self.senders
-        kind_ids = self.kind_ids
-        instance_ids = self.instance_ids
-        for entry in self._walk():
-            if entry[0] == "s":
-                j = entry[1]
-                if kind_ids[j] != kid:
-                    continue
-                if iid is not _ANY and instance_ids[j] != iid:
-                    continue
-                grouped.setdefault(payloads[payload_ids[j]], set()).add(
-                    senders[j]
-                )
+        by_batch: dict[Batch, list[NodeId]] = {}
+        for sender, batch in self._matching(kind, instance):
+            group = by_batch.get(batch)
+            if group is None:
+                by_batch[batch] = [sender]
             else:
-                _, sender, batch = entry
-                if batch.kind_id != kid:
-                    continue
-                if iid is not _ANY and batch.instance_id != iid:
-                    continue
-                for payload in batch.staged_payloads:
-                    grouped.setdefault(payload, set()).add(sender)
-        return {
-            payload: frozenset(group)
-            for payload, group in grouped.items()
-        }
+                group.append(sender)
+        out: dict[Hashable, frozenset[NodeId]] = {}
+        for batch, group in by_batch.items():
+            shared = frozenset(group)
+            for payload in batch.staged_payloads:
+                existing = out.get(payload)
+                out[payload] = (
+                    shared if existing is None else existing | shared
+                )
+        return out
 
     def distinct_senders(self) -> frozenset[NodeId]:
-        senders = set(self.senders)
-        senders.update(sender for _, sender, _ in self.segments)
-        return frozenset(senders)
+        return frozenset(sender for sender, _ in self.segments)
 
     def kind_senders(self, kind: str, instance: Any) -> frozenset[NodeId]:
-        plane = self.plane
-        kid = plane.kind_id_of(kind)
-        if kid is None:
-            return frozenset()
-        iid = _ANY
-        if instance is not _ANY:
-            iid = plane.instance_id_of(instance)
-            if iid is None:
-                return frozenset()
-        senders = self.senders
-        out = {senders[j] for j in self._scalar_matches(kid, iid)}
-        out.update(
-            sender
-            for _, sender, batch in self.segments
-            if batch.kind_id == kid
-            and (iid is _ANY or batch.instance_id == iid)
+        return frozenset(
+            sender for sender, _ in self._matching(kind, instance)
         )
-        return frozenset(out)
 
     def present_kinds(self) -> frozenset[str]:
-        kinds = self.plane.kinds
-        out = {kinds[kid] for kid, _ in self._scalar_ki}
-        out.update(batch.kind for _, _, batch in self.segments)
-        return frozenset(out)
+        return frozenset(batch.kind for _, batch in self.segments)
 
     def instance_survey(self) -> tuple[Hashable, ...]:
         """Instance tags (None excluded) in first-occurrence order."""
         seen: set[int] = set()
         ordered: list[Hashable] = []
         instances = self.plane.instances
-        instance_ids = self.instance_ids
-        for entry in self._walk():
-            if entry[0] == "s":
-                iid = instance_ids[entry[1]]
-            else:
-                iid = entry[2].instance_id
+        for _, batch in self.segments:
+            iid = batch.instance_id
             if iid not in seen:
                 seen.add(iid)
                 tag = instances[iid]
@@ -634,68 +485,16 @@ class RoundColumns:
     def sender_rows(self, sender: NodeId) -> tuple[Message, ...]:
         """All of one sender's messages, in staging order, without
         materializing anyone else's."""
-        plane = self.plane
-        kinds = plane.kinds
-        payloads = plane.payloads
-        instances = plane.instances
-        senders = self.senders
-        out: list[Message] = []
-        for entry in self._walk():
-            if entry[0] == "s":
-                j = entry[1]
-                if senders[j] != sender:
-                    continue
-                out.append(
-                    Message(
-                        sender,
-                        kinds[self.kind_ids[j]],
-                        payloads[self.payload_ids[j]],
-                        instances[self.instance_ids[j]],
-                    )
-                )
-            elif entry[1] == sender:
-                batch = entry[2]
-                out.extend(
-                    Message(sender, batch.kind, payload, batch.instance)
-                    for payload in batch.staged_payloads
-                )
-        plane.messages_materialized += len(out)
-        return tuple(out)
+        return self._build(seg for seg in self.segments if seg[0] == sender)
 
     def instance_rows(self, instance: Hashable) -> tuple[Message, ...]:
         """One instance's messages in staging order (lazy per tag)."""
-        plane = self.plane
-        iid = plane.instance_id_of(instance)
+        iid = self.plane.instance_id_of(instance)
         if iid is None:
             return ()
-        kinds = plane.kinds
-        payloads = plane.payloads
-        senders = self.senders
-        instance_ids = self.instance_ids
-        out: list[Message] = []
-        for entry in self._walk():
-            if entry[0] == "s":
-                j = entry[1]
-                if instance_ids[j] != iid:
-                    continue
-                out.append(
-                    Message(
-                        senders[j],
-                        kinds[self.kind_ids[j]],
-                        payloads[self.payload_ids[j]],
-                        instance,
-                    )
-                )
-            else:
-                _, sender, batch = entry
-                if batch.instance_id != iid:
-                    continue
-                out.extend(
-                    Message(sender, batch.kind, payload, instance)
-                    for payload in batch.staged_payloads
-                )
-        plane.messages_materialized += len(out)
-        return tuple(out)
+        return self._build(
+            seg for seg in self.segments if seg[1].instance_id == iid
+        )
 
 
 class ColumnarMessages(Sequence):

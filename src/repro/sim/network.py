@@ -26,7 +26,7 @@ path one ``None`` check per emission site.
 
 There is one delivery path, the columnar plane (docs/model.md "Columnar
 delivery").  Staging is O(logical sends), not O(sends x recipients): each
-round's broadcasts go into one set of struct-of-arrays columns
+round's broadcasts go into one list of interned batch segments
 (:class:`~repro.sim.columnar.RoundColumns`, deduplicated as they are
 staged), and only direct sends occupy per-node queues of stamped
 :class:`~repro.sim.message.Message` objects.  A direct message repeating
@@ -207,7 +207,7 @@ class SyncNetwork:
         self._clock = clock
         self._nodes: dict[NodeId, _NodeState] = {}
         #: The columnar round plane (docs/model.md "Columnar delivery"):
-        #: broadcasts stage into per-round struct-of-arrays columns, and
+        #: broadcasts stage into per-round batch segments, and
         #: recipients get counting views instead of message objects.
         self._plane = ColumnarPlane()
         #: The columns this round's broadcasts stage into, swapped for a
@@ -543,7 +543,7 @@ class SyncNetwork:
         round's membership changes — so a node joining at round ``r + 1``
         receives the round-``r`` broadcasts (the model's "reaches every
         node, including ones it has never heard of").  The round's
-        broadcasts live in frozen struct-of-arrays columns: every
+        broadcasts live in frozen batch segments: every
         recipient shares one :class:`ColumnarIndex` view, contact
         tracking is one cumulative pool update per round instead of a
         per-node set union, and ``deliver`` events carry a lazy message
@@ -719,10 +719,11 @@ class SyncNetwork:
     def _stage_columnar(self, sends: list[tuple[NodeId, Send]]) -> None:
         """Queue sends into the round's columns.
 
-        Scalar broadcasts are four list appends; a batched fan-out is
-        one interned segment per sender.  Direct sends still stamp real
-        Message objects into the destination's queue — they are the
-        per-node case the columns don't model.
+        Every broadcast is one interned segment per sender: a single
+        send its one-payload batch, a fan-out its k-payload batch.
+        Direct sends still stamp real Message objects into the
+        destination's queue — they are the per-node case the columns
+        don't model.
         """
         round_no = self.round
         emit_send = self._emit_send

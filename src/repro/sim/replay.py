@@ -21,14 +21,14 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
-
-from repro.sim.network import SyncNetwork
+from repro.obs.bus import EventBus
+from repro.obs.events import InboxDelivered
+from repro.sim.runner import run_scenario
 from repro.types import NodeId
 
 __all__ = [
     "DeliveryRecord",
     "RunRecording",
-    "RecordingNetwork",
     "record_scenario",
     "verify_replay",
 ]
@@ -114,27 +114,21 @@ class RunRecording:
         return cls.from_jsonl(pathlib.Path(path).read_text())
 
 
-class RecordingNetwork(SyncNetwork):
-    """A :class:`SyncNetwork` that records every delivery it makes.
+def record_scenario(scenario) -> tuple:
+    """Run *scenario* with a delivery recorder attached.
 
-    The recorder is an ordinary ``deliver``-topic subscriber of the
-    network's event bus: each :class:`~repro.obs.events.InboxDelivered`
-    event carries exactly the message sequence the engine handed out,
-    so the recording matches the simulation's duplicate suppression and
-    recipient resolution by construction (an earlier version re-derived
-    deliveries from the staging queues with its own — subtly
-    different — dedup key).  The seed is read back from the constructed
-    network, so it is captured correctly whether it was passed
-    positionally or by keyword.
+    Returns ``(ScenarioResult, RunRecording)``.  The recorder is an
+    ordinary ``deliver``-topic subscriber on the bus handed to
+    :func:`repro.sim.runner.run_scenario`: each
+    :class:`~repro.obs.events.InboxDelivered` event carries exactly the
+    message sequence the engine handed out, so the recording matches
+    the simulation's duplicate suppression and recipient resolution by
+    construction.
     """
+    recording = RunRecording(seed=scenario.seed)
+    append = recording.deliveries.append
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.recording = RunRecording(seed=self.seed)
-        self.bus.subscribe(self._record_delivery, "deliver")
-
-    def _record_delivery(self, event) -> None:
-        append = self.recording.deliveries.append
+    def record(event: InboxDelivered) -> None:
         round_no = event.round
         recipient = event.recipient
         for message in event.messages:
@@ -149,29 +143,13 @@ class RecordingNetwork(SyncNetwork):
                 )
             )
 
-    def finalize_recording(self) -> RunRecording:
-        self.recording.rounds = self.round
-        self.recording.outputs = {
-            str(node): repr(value) for node, value in self.outputs().items()
-        }
-        return self.recording
-
-
-def record_scenario(scenario) -> tuple:
-    """Run a scenario on a recording network.
-
-    Returns ``(ScenarioResult, RunRecording)``.  Mirrors
-    :func:`repro.sim.runner.run_scenario` but swaps the network class.
-    """
-    from repro.sim import runner as runner_module
-
-    original = runner_module.SyncNetwork
-    runner_module.SyncNetwork = RecordingNetwork
-    try:
-        result = runner_module.run_scenario(scenario)
-    finally:
-        runner_module.SyncNetwork = original
-    recording = result.network.finalize_recording()
+    bus = EventBus()
+    bus.subscribe(record, InboxDelivered.topic)
+    result = run_scenario(scenario, bus=bus)
+    recording.rounds = result.network.round
+    recording.outputs = {
+        str(node): repr(value) for node, value in result.outputs.items()
+    }
     return result, recording
 
 

@@ -91,6 +91,22 @@ class ScenarioResult:
         return self.outputs[node_id]
 
 
+def draw_population(
+    seed: int, correct: int, byzantine: int, id_space: int
+) -> tuple[list[NodeId], list[NodeId]]:
+    """The sorted (correct_ids, byzantine_ids) a run with *seed* uses.
+
+    Distinct sparse ids from ``1..id_space``, interleaved by a
+    seeded shuffle rather than split by block, so neither group
+    systematically owns the smallest identifiers (the rotor picks
+    coordinators in id order — block assignment would bias it).
+    """
+    rng = make_rng(seed)
+    shuffled = sparse_ids(correct + byzantine, rng, id_space)
+    rng.shuffle(shuffled)
+    return sorted(shuffled[:correct]), sorted(shuffled[correct:])
+
+
 def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     """Build the network described by *scenario*, run it, return the result.
 
@@ -99,16 +115,12 @@ def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     the network its own private bus as usual.
     """
     scenario.validate()
-    rng = make_rng(scenario.seed)
-    total = scenario.correct + scenario.byzantine
-    ids = sparse_ids(total, rng, scenario.id_space)
-    # Interleave correct/Byzantine ids deterministically but not by block,
-    # so neither group systematically owns the smallest identifiers (the
-    # rotor picks coordinators in id order — block assignment would bias it).
-    shuffled = ids[:]
-    rng.shuffle(shuffled)
-    correct_ids = sorted(shuffled[: scenario.correct])
-    byz_ids = sorted(shuffled[scenario.correct:])
+    correct_ids, byz_ids = draw_population(
+        scenario.seed,
+        scenario.correct,
+        scenario.byzantine,
+        scenario.id_space,
+    )
 
     network = SyncNetwork(
         seed=scenario.seed,

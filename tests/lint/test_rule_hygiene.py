@@ -269,6 +269,19 @@ class TestInboxInternalsAccess:
         )
         assert codes(result) == ["R405"]
 
+    def test_columnar_dedup_state_flagged(self, lint_tree):
+        # The per-(sender, kind, instance) staging dedup map: reading
+        # it would let a protocol learn what other nodes staged.
+        result = lint_tree(
+            {
+                "repro/core/bad.py": """\
+                def staged(cols, key):
+                    return cols._sender_payloads.get(key)
+                """
+            }
+        )
+        assert codes(result) == ["R405"]
+
     def test_columnar_view_via_index_flagged(self, lint_tree):
         result = lint_tree(
             {

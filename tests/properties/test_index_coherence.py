@@ -320,6 +320,28 @@ class TestColumnarCoherence:
             assert list(cols.materialize()) == messages
             assert_coherent(Inbox(index=ColumnarIndex(cols)), messages)
 
+    def test_large_scalar_round_over_two_kinds(self):
+        # 4096+ single broadcasts in one round: the size where an
+        # earlier revision switched to a separate array scan.  Every
+        # row is a one-payload segment now; the answers must not care
+        # how many there are.
+        rng = make_rng(11, salt=23)
+        stream = []
+        for sender in range(1024):
+            for kind in ("echo", "input"):
+                for payload in rng.sample(PAYLOADS, 2):
+                    stream.append(
+                        ("scalar", sender, kind, payload,
+                         rng.choice(INSTANCES))
+                    )
+                    if rng.random() < 0.1:
+                        stream.append(rng.choice(stream))
+        cols = stage_stream(stream)
+        messages = expected_messages(stream)
+        assert len(cols) == len(messages) >= 4096
+        assert list(cols.materialize()) == messages
+        assert_coherent(Inbox(index=ColumnarIndex(cols)), messages)
+
     def test_shared_payload_tuple_interns_one_batch(self):
         # The quorum plane hands every node the same tuple object; the
         # intern table must resolve them all to one canonical batch,

@@ -430,9 +430,9 @@ class TestColumnarTallyCoherence:
         # keep-everything delivery filter hands each recipient a fresh
         # list, so a private object InboxIndex and private contacts.
         # Every recipient then rebuilds its own tallies — quadratic in
-        # n per round — so the reference runs at n = 64; neither size
-        # reaches a size-dependent branch of the plane (the numpy
-        # cut-over needs 4096 rows in a round).
+        # n per round — so the reference runs at n = 64.  The plane has
+        # no size-dependent branch, so the small run covers the same
+        # code the n = 500 run does.
         with_columns = backfill_run(64)
         per_recipient = backfill_run(64, keep_everything)
         assert with_columns.outputs() == per_recipient.outputs()

@@ -180,6 +180,39 @@ class TestCommands:
         assert "adversary matrix" in out
         assert "adaptive" in out
 
+    def test_matrix_propagates_a_crash(self, monkeypatch):
+        # A bug in a run is not a liveness result: only simulation
+        # errors are booked in the table.
+        def crash(spec, **kwargs):
+            raise KeyError("broken")
+
+        monkeypatch.setattr("repro.cli.run_spec", crash)
+        with pytest.raises(KeyError):
+            main(["matrix", "consensus", "--n", "7", "--f", "2",
+                  "--seeds", "1"])
+
+    def test_matrix_books_round_limit_as_max_rounds(
+        self, monkeypatch, capsys
+    ):
+        from repro.errors import RoundLimitExceeded
+
+        def stall(spec, **kwargs):
+            raise RoundLimitExceeded(spec.max_rounds, [1])
+
+        monkeypatch.setattr("repro.cli.run_spec", stall)
+        code = main(
+            ["matrix", "consensus", "--n", "7", "--f", "2", "--seeds",
+             "1", "--max-rounds", "37"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        rows = [
+            line for line in out.splitlines() if line.startswith("| silent")
+        ]
+        assert len(rows) == 1
+        cells = [cell.strip() for cell in rows[0].split("|")[2:4]]
+        assert cells == ["0", "37"]
+
     def test_run_timeline_flag(self, capsys):
         code = main(
             [

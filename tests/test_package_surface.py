@@ -6,7 +6,11 @@ docstrings, and the CLI registry drifting from the adversary registry.
 """
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -114,3 +118,25 @@ class TestSurface:
             TotalOrderNode,
         ):
             assert issubclass(cls, Protocol), cls
+
+
+def test_simulator_imports_no_numpy():
+    # The simulator is pure stdlib: importing the scenario layer and
+    # the round engine must not pull numpy in, even where it is
+    # installed.
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.scenario, repro.sim.network; "
+            "print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == "False"
